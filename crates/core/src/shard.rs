@@ -30,10 +30,14 @@
 //! (`(unit+1) << 40 | n`), envelope sequence numbers, RNG streams (each hub
 //! derives its own loss/RED stream; each cross-traffic source already owns
 //! one), drop and delivery counters, and the per-pair IFQ series. World-level
-//! sampling happens at window boundaries (grid `min(w + L, horizon)`), which
-//! depends only on the lookahead — so sample times and values are also
-//! grouping-invariant, and the merged event count is a pure function of the
-//! scenario.
+//! sampling happens at window boundaries. Those lie on the grid `k·L`
+//! (clamped to the horizon), which depends only on the lookahead, but the
+//! executor skips windows in which no domain has an event. A sample due in
+//! a skipped span is taken at the next boundary the executor visits; no
+//! event ran in between, so every depth it reads equals the depth at the
+//! skipped boundary. Sample times and values are therefore the same as with
+//! every window visited and grouping-invariant, and the merged event count
+//! is a pure function of the scenario.
 //!
 //! `shards = 1` therefore *is* the serial reference: the parallel runs are
 //! byte-compared against it in CI. It is intentionally not bit-equal to the
@@ -766,10 +770,10 @@ impl Domain for ShardDomain {
 
     fn on_boundary(&mut self, now: SimTime) {
         // Boundary sampling: sample times follow the nominal grid, depths are
-        // read at the boundary. The window grid depends only on the
-        // lookahead, so the series is identical for every shard count — and
-        // samples are not engine events, keeping the merged event count
-        // grouping-invariant too.
+        // read at the boundary. The executor visits the same boundaries at
+        // every shard count, and the skipped ones saw no event, so the series
+        // is identical for every shard count — and samples are not engine
+        // events, keeping the merged event count grouping-invariant too.
         while self.next_sample <= now && self.next_sample <= self.sample_end {
             let world = self.engine.model_mut();
             for unit in &mut world.units {
@@ -789,6 +793,10 @@ impl Domain for ShardDomain {
             }
             self.next_sample += self.sample_interval;
         }
+    }
+
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.engine.next_event_time()
     }
 
     fn run_window(&mut self, end: SimTime) -> u64 {
@@ -1212,6 +1220,37 @@ mod tests {
         let a = report_json(&sc, 1);
         let b = report_json(&sc, 4);
         assert_eq!(a, b);
+    }
+
+    /// Once the only flow has finished, no event is left and the executor
+    /// jumps straight to the horizon; every sample up to it must still be
+    /// emitted on the `sample_interval` grid, at every shard count.
+    #[test]
+    fn samples_reach_the_horizon_after_the_last_event() {
+        let mut sc = busy(1);
+        sc.cross.clear();
+        sc.path.loss_prob = 0.0;
+        sc.flows[0].app = AppModel::Bulk {
+            bytes: Some(100_000),
+        };
+        sc.duration = SimDuration::from_secs(2);
+        sc.sample_interval = SimDuration::from_millis(10);
+        let r = run_sharded_scenario(&sc, 1);
+        let done = r.flows[0].completed_at_s.expect("flow completes");
+        assert!(done < 1.0, "flow finished late: {done}");
+        assert_eq!(r.duration_s, 2.0);
+        let grid: Vec<f64> = (0..=200)
+            .map(|k| SimTime::from_millis(10 * k).as_secs_f64())
+            .collect();
+        for (name, series) in [
+            ("bottleneck_queue_series", &r.bottleneck_queue_series),
+            ("sender_ifq_series", &r.sender_ifq_series),
+        ] {
+            let times: Vec<f64> = series.iter().map(|&(t, _)| t).collect();
+            assert_eq!(times, grid, "{name} left the grid");
+            assert_eq!(series.last().map(|&(_, v)| v), Some(0.0), "{name}");
+        }
+        assert_eq!(r.to_json(), report_json(&sc, 3));
     }
 
     #[test]

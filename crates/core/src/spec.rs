@@ -660,13 +660,16 @@ impl std::error::Error for SpecError {}
 // Unit conversions (validated)
 // ---------------------------------------------------------------------------
 
+/// Checked after rounding: a positive rate below 0.5 bit/s rounds to a
+/// zero-rate link, which no serialization time exists for.
 fn mbps_to_bps(mbps: f64, what: &str) -> Result<u64, SpecError> {
-    if !mbps.is_finite() || mbps <= 0.0 {
+    let bps = (mbps * 1e6).round();
+    if !bps.is_finite() || bps < 1.0 {
         return Err(SpecError::new(format!(
-            "{what} must be a positive rate, got {mbps}"
+            "{what} must be a rate of at least 1 bit/s, got {mbps} Mbit/s"
         )));
     }
-    Ok((mbps * 1e6).round() as u64)
+    Ok(bps as u64)
 }
 
 fn ms_to_duration(ms: f64, what: &str) -> Result<SimDuration, SpecError> {
@@ -937,9 +940,12 @@ impl RunSpec {
             )));
         }
         let access_delay_us = p.access_delay_us.unwrap_or(10.0);
-        if !access_delay_us.is_finite() || access_delay_us <= 0.0 {
+        // Checked after rounding to whole nanoseconds: a zero access delay
+        // is a zero sharded lookahead.
+        let access_delay_ns = (access_delay_us * 1e3).round();
+        if !access_delay_ns.is_finite() || access_delay_ns < 1.0 {
             return Err(SpecError::new(format!(
-                "path.access_delay_us must be positive, got {access_delay_us}"
+                "path.access_delay_us must be at least 1 ns, got {access_delay_us} us"
             )));
         }
         let path = PathSpec {
@@ -951,7 +957,7 @@ impl RunSpec {
                 Some(m) => Some(mbps_to_bps(m, "path.access_rate_mbps")?),
                 None => None,
             },
-            access_delay: SimDuration::from_nanos((access_delay_us * 1e3).round() as u64),
+            access_delay: SimDuration::from_nanos(access_delay_ns as u64),
         };
         let queue = match (self.red_bottleneck, &self.queue) {
             (Some(_), Some(_)) => {
@@ -1890,6 +1896,46 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.msg.contains("access_delay_us"), "{}", err.msg);
+    }
+
+    #[test]
+    fn validate_rejects_values_that_round_to_zero() {
+        // Positive as written, zero once converted: 1e-9 Mbit/s rounds to a
+        // 0 bit/s link ("zero link rate" at run time), and 0.0001 us to a
+        // 0 ns access delay (a zero lookahead for the sharded executor).
+        for (label, path, field) in [
+            ("rate", r#"{"rate_mbps":1e-9}"#, "path.rate_mbps"),
+            (
+                "access",
+                r#"{"access_rate_mbps":1e-9}"#,
+                "path.access_rate_mbps",
+            ),
+            (
+                "delay",
+                r#"{"access_delay_us":0.0001}"#,
+                "path.access_delay_us",
+            ),
+        ] {
+            for shards in ["", r#""shards":2,"#] {
+                let json = format!(
+                    r#"{{"name":"t",{shards}"runs":[{{"label":"{label}","flows":[{{}}],"path":{path}}}]}}"#
+                );
+                let err = ScenarioSpec::from_json(&json)
+                    .unwrap()
+                    .validate()
+                    .unwrap_err();
+                assert!(err.msg.contains(&format!("run `{label}`")), "{}", err.msg);
+                assert!(err.msg.contains(field), "{}", err.msg);
+            }
+        }
+        // The smallest values that survive rounding still validate.
+        let spec = ScenarioSpec::from_json(&minimal(
+            r#"[{"label":"x","flows":[{}],"path":{"rate_mbps":1e-6,"access_delay_us":0.001}}]"#,
+        ))
+        .unwrap();
+        let sc = &spec.expand().unwrap()[0].scenario;
+        assert_eq!(sc.path.rate_bps, 1);
+        assert_eq!(sc.path.access_delay, SimDuration::from_nanos(1));
     }
 
     #[test]

@@ -144,6 +144,11 @@ impl<M: Model> Engine<M> {
         self.queue.len()
     }
 
+    /// Timestamp of the earliest pending event, if any.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// The event queue's activity counters (pops, wheel-vs-heap placement,
     /// migrations, cancels, tombstone sweeps). Always maintained; reading
     /// them costs nothing beyond this copy.
@@ -337,6 +342,22 @@ mod tests {
         eng.schedule_at(SimTime::from_millis(30), ());
         assert_eq!(eng.run_window(SimTime::from_millis(60)), 6);
         assert_eq!(eng.now(), SimTime::from_millis(50));
+    }
+
+    #[test]
+    fn next_event_time_peeks_without_dispatching() {
+        let mut eng = Engine::new(Ticker {
+            period: SimDuration::from_millis(10),
+            remaining: 2,
+            fired_at: vec![],
+        });
+        assert_eq!(eng.next_event_time(), None);
+        eng.schedule_at(SimTime::from_millis(5), ());
+        assert_eq!(eng.next_event_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(eng.run_window(SimTime::from_millis(10)), 1);
+        assert_eq!(eng.next_event_time(), Some(SimTime::from_millis(15)));
+        eng.run_to_completion();
+        assert_eq!(eng.next_event_time(), None);
     }
 
     struct Stopper {

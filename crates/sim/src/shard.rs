@@ -10,18 +10,32 @@
 //!
 //! Let `L` be the minimum latency of any cross-unit message leg (for the
 //! dumbbell worlds built on top of this module: the smaller of the access-link
-//! and haul-link propagation delays). Time advances in fixed windows
-//! `[w, w+L)`. A message sent at time `t ∈ [w, w+L)` arrives at `t + leg ≥
-//! w + L`, i.e. **no message sent during a window can be due inside that same
-//! window** — so every domain may simulate the window to completion without
-//! hearing from its peers. That is the classic conservative (CMB-style)
-//! argument specialized to a fixed window equal to the static lookahead.
+//! and haul-link propagation delays). Time advances in windows `[w, w+L)`
+//! whose starts lie on the grid `k·L`. A message sent at time `t ∈ [w, w+L)`
+//! arrives at `t + leg ≥ w + L`, i.e. **no message sent during a window can
+//! be due inside that same window** — so every domain may simulate the
+//! window to completion without hearing from its peers. That is the classic
+//! conservative (CMB-style) argument specialized to a window equal to the
+//! static lookahead.
+//!
+//! Windows with nothing in them are skipped. Once a domain has injected its
+//! arrivals, it publishes the time of its earliest pending event, and every
+//! domain reads the same global minimum `t` — the lower bound on the next
+//! timestamp of conservative PDES. The next window starts at the grid point
+//! `⌊t/L⌋·L` (clamped to the horizon) instead of at the previous window's
+//! end. The jump is exact: every message still in flight was injected
+//! before the minimum was taken, so no event of any domain falls in the
+//! skipped span, and a window that would have run there would have done
+//! nothing. Windows stay on the same `k·L` grid, and `on_boundary` is called
+//! at the new window start before it runs, so boundary sampling sees the
+//! state it would have seen at any skipped boundary.
 //!
 //! Two barriers bound each window: after the first, every domain runs
 //! `[w, w+L)` and publishes its outgoing messages into per-`(src, dst)`
-//! domain rings; after the second, each domain drains its inbound rings and
-//! injects the arrivals before the next window starts. The rings are locked
-//! once per pair per window (a buffer swap), never per event.
+//! domain rings; after the second, each domain drains its inbound rings,
+//! injects the arrivals and folds its next event time into the shared
+//! minimum before the next window starts. The rings are locked once per pair
+//! per window (a buffer swap), never per event.
 //!
 //! # Why results are bit-exact for any domain count
 //!
@@ -82,8 +96,13 @@ pub trait Domain: Send {
     /// boundary; `env.time` is never before the boundary.
     fn inject(&mut self, env: Envelope<Self::Msg>);
     /// Window-boundary hook (sampling, bookkeeping). The domain's state is
-    /// quiescent at `now`.
+    /// quiescent at `now`. Boundaries increase along the window grid but
+    /// need not be consecutive: windows in which no domain has an event are
+    /// skipped.
     fn on_boundary(&mut self, now: SimTime);
+    /// Timestamp of the domain's earliest pending event, if any. Read once
+    /// per window, after the boundary's arrivals are injected.
+    fn next_event_time(&self) -> Option<SimTime>;
     /// Run every event strictly before `end`; return events processed.
     fn run_window(&mut self, end: SimTime) -> u64;
     /// Final inclusive pass: run events up to and at `horizon`.
@@ -218,6 +237,7 @@ pub fn partition_units(weights: &[u64], domains: usize) -> Vec<u32> {
 /// * `unit_domain[u]` maps each global unit id to the domain that owns it.
 /// * `lookahead` is the window size `L`; it must not exceed the minimum
 ///   cross-unit message latency (see the module docs) and must be positive.
+///   Windows start on the grid `k·L`; empty stretches of it are skipped.
 /// * `stop_after_completions`: when `Some(n)`, the run ends at the first
 ///   window boundary at which `n` flow completions have been reported.
 ///
@@ -264,6 +284,13 @@ pub fn run_sharded<D: Domain>(
     let poison_inject = AtomicBool::new(false);
     let poison_run = AtomicBool::new(false);
     let first_panic: Mutex<Option<ShardError>> = Mutex::new(None);
+    // The global minimum of the domains' next event times, in nanoseconds
+    // (`u64::MAX`: nothing pending). The slot a window folds into alternates
+    // with its parity, so the jump needs no third barrier: a slot is read
+    // between barriers 1 and 2 of its window, which leaves the other slot,
+    // read a window earlier, free to reset before barrier 1.
+    let next_min = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
+    let step = lookahead.as_nanos();
 
     let record_panic = |flag: &AtomicBool, shard: usize, payload: Box<dyn std::any::Any + Send>| {
         flag.store(true, Ordering::Release);
@@ -286,9 +313,11 @@ pub fn run_sharded<D: Domain>(
             let total_events = &total_events;
             let poison_inject = &poison_inject;
             let poison_run = &poison_run;
+            let next_min = &next_min;
             let record_panic = &record_panic;
             handles.push(scope.spawn(move || {
                 let mut w = SimTime::ZERO;
+                let mut parity = 0usize;
                 let mut events = 0u64;
                 let mut inbound: Vec<Envelope<D::Msg>> = Vec::new();
                 // Per-thread scratch, all capacity-recycled across windows:
@@ -312,6 +341,11 @@ pub fn run_sharded<D: Domain>(
                             domain.inject(env);
                         }
                         domain.on_boundary(w);
+                        if d == 0 {
+                            next_min[parity ^ 1].store(u64::MAX, Ordering::Release);
+                        }
+                        let next = domain.next_event_time().map_or(u64::MAX, SimTime::as_nanos);
+                        next_min[parity].fetch_min(next, Ordering::AcqRel);
                         stop_after_completions
                             .is_some_and(|target| completions.load(Ordering::Acquire) >= target)
                     })) {
@@ -333,10 +367,21 @@ pub fn run_sharded<D: Domain>(
                     if stop {
                         break Some((w, true));
                     }
+                    // Jump to the grid window holding the earliest pending
+                    // event of any domain. Every thread reads the same
+                    // minimum, so all of them land on the same window.
+                    let t = next_min[parity].load(Ordering::Acquire);
+                    parity ^= 1;
+                    let start = SimTime::from_nanos(t / step * step).clamp(w, horizon);
+                    let jumped = start > w;
+                    w = start;
                     if w >= horizon {
                         // Arrivals due exactly at the horizon were injected
                         // above; messages produced now would be due after it.
                         match catch_unwind(AssertUnwindSafe(|| {
+                            if jumped {
+                                domain.on_boundary(w);
+                            }
                             let e = domain.finish(horizon);
                             // Messages produced at the horizon would be due
                             // after it; drain and discard them.
@@ -359,6 +404,9 @@ pub fn run_sharded<D: Domain>(
                     }
                     let end = (w + lookahead).min(horizon);
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
+                        if jumped {
+                            domain.on_boundary(w);
+                        }
                         events += domain.run_window(end);
                         let done = domain.take_completions();
                         if done > 0 {
@@ -459,10 +507,16 @@ mod tests {
         seq: u64,
     }
 
+    #[derive(Default)]
     struct RingDomain {
         units: Vec<Token>,
         queued: Vec<(SimTime, usize, u64)>, // (due, local unit, token)
         outgoing: Vec<Envelope<u64>>,
+        /// `run_window` calls, i.e. windows this domain actually ran.
+        windows: u64,
+        /// Every `on_boundary` time, and every hop time `run_window` ran.
+        boundaries: Vec<SimTime>,
+        window_hops: Vec<SimTime>,
     }
 
     impl RingDomain {
@@ -489,8 +543,14 @@ mod tests {
                 .expect("misrouted");
             self.queued.push((env.time, local, env.msg));
         }
-        fn on_boundary(&mut self, _now: SimTime) {}
+        fn on_boundary(&mut self, now: SimTime) {
+            self.boundaries.push(now);
+        }
+        fn next_event_time(&self) -> Option<SimTime> {
+            self.queued.iter().map(|&(t, _, _)| t).min()
+        }
         fn run_window(&mut self, end: SimTime) -> u64 {
+            self.windows += 1;
             self.queued.sort_by_key(|&(t, u, m)| (t, u, m));
             let mut events = 0;
             while let Some(&(t, local, msg)) = self.queued.first() {
@@ -498,6 +558,7 @@ mod tests {
                     break;
                 }
                 self.queued.remove(0);
+                self.window_hops.push(t);
                 let env = Self::forward(&mut self.units[local], t, msg);
                 self.outgoing.push(env);
                 events += 1;
@@ -527,17 +588,18 @@ mod tests {
         }
     }
 
-    fn run_ring(units: usize, domains: usize, horizon_ms: u64) -> (Vec<u64>, ShardStats) {
+    /// Pass a token around `units` units with a 1 ms hop. Returns the hop
+    /// count per unit, the merged stats, and the windows one domain ran.
+    fn run_ring(
+        units: usize,
+        domains: usize,
+        horizon_ms: u64,
+        lookahead: SimDuration,
+    ) -> (Vec<u64>, ShardStats, u64) {
         let hop = SimDuration::from_millis(1);
         let weights = vec![1u64; units];
         let unit_domain = partition_units(&weights, domains);
-        let mut doms: Vec<RingDomain> = (0..domains)
-            .map(|_| RingDomain {
-                units: Vec::new(),
-                queued: Vec::new(),
-                outgoing: Vec::new(),
-            })
-            .collect();
+        let mut doms: Vec<RingDomain> = (0..domains).map(|_| RingDomain::default()).collect();
         for u in 0..units {
             doms[unit_domain[u] as usize].units.push(Token {
                 unit: u as u32,
@@ -554,25 +616,37 @@ mod tests {
         let stats = run_sharded(
             &mut doms,
             &unit_domain,
-            hop,
+            lookahead,
             SimTime::ZERO + SimDuration::from_millis(horizon_ms),
             None,
         )
         .expect("ring run must not fail");
+        // A window that ran was announced at its start: every hop it ran
+        // lies less than one lookahead after some boundary.
+        for d in &doms {
+            for &t in &d.window_hops {
+                assert!(
+                    d.boundaries.iter().any(|&b| b <= t && t < b + lookahead),
+                    "hop at {t:?} ran without a boundary at its window start"
+                );
+            }
+        }
+        let windows = doms.iter().map(|d| d.windows).max().unwrap_or(0);
         let mut hops = vec![0u64; units];
         for d in doms {
             for t in d.units {
                 hops[t.unit as usize] = t.hops_seen;
             }
         }
-        (hops, stats)
+        (hops, stats, windows)
     }
 
     #[test]
     fn ring_token_is_grouping_invariant() {
-        let serial = run_ring(6, 1, 50);
+        let hop = SimDuration::from_millis(1);
+        let serial = run_ring(6, 1, 50, hop);
         for domains in 2..=4 {
-            let parallel = run_ring(6, domains, 50);
+            let parallel = run_ring(6, domains, 50, hop);
             assert_eq!(serial.0, parallel.0, "{domains} domains diverged");
             assert_eq!(
                 serial.1.events_processed, parallel.1.events_processed,
@@ -581,6 +655,25 @@ mod tests {
         }
         // 6 units, 1 ms per hop, horizon 50 ms inclusive: 51 hops total.
         assert_eq!(serial.0.iter().sum::<u64>(), 51);
+    }
+
+    #[test]
+    fn empty_windows_are_skipped() {
+        // A 10 us lookahead under a 1 ms hop leaves 99 of every 100 grid
+        // windows empty: 5,000 windows span the 50 ms horizon, but only
+        // those holding a hop may run.
+        let reference = run_ring(6, 1, 50, SimDuration::from_millis(1));
+        for domains in [1, 3] {
+            let (hops, stats, windows) = run_ring(6, domains, 50, SimDuration::from_micros(10));
+            assert_eq!(hops, reference.0, "hops diverged at {domains} domains");
+            assert_eq!(stats.events_processed, reference.1.events_processed);
+            assert_eq!(stats.end_time, reference.1.end_time);
+            let total: u64 = hops.iter().sum();
+            assert!(
+                windows <= 2 * (total + 1),
+                "{windows} windows ran for {total} hops at {domains} domains"
+            );
+        }
     }
 
     /// A domain that panics inside `run_window` once the clock passes a
@@ -597,6 +690,9 @@ mod tests {
         }
         fn on_boundary(&mut self, now: SimTime) {
             self.inner.on_boundary(now);
+        }
+        fn next_event_time(&self) -> Option<SimTime> {
+            self.inner.next_event_time()
         }
         fn run_window(&mut self, end: SimTime) -> u64 {
             if end > self.panic_at {
@@ -625,11 +721,7 @@ mod tests {
         let unit_domain: Vec<u32> = vec![0, 1, 2, 0];
         let mut doms: Vec<PanickyDomain> = (0..3)
             .map(|d| PanickyDomain {
-                inner: RingDomain {
-                    units: Vec::new(),
-                    queued: Vec::new(),
-                    outgoing: Vec::new(),
-                },
+                inner: RingDomain::default(),
                 panic_at: if d == 1 {
                     SimTime::from_millis(5)
                 } else {
@@ -673,7 +765,7 @@ mod tests {
                     seq: 0,
                 }],
                 queued: vec![(SimTime::ZERO, 0, 0)],
-                outgoing: Vec::new(),
+                ..RingDomain::default()
             },
             panic_at: SimTime::from_millis(2),
         }];

@@ -474,7 +474,6 @@ impl TcpSender {
     pub fn on_ack(&mut self, now: SimTime, ack: u64, rwnd: u64, ifq: IfqSnapshot) {
         self.peer_rwnd = rwnd;
         self.web100.on_rwin(rwnd);
-        self.web100.on_ifq_depth(now, ifq.depth);
 
         if ack > self.snd_una {
             let newly = ack - self.snd_una;

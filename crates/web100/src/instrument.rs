@@ -15,9 +15,6 @@ pub struct InstrumentBlock {
     congestion_events: EventCounter,
     /// cwnd samples over time (bytes).
     cwnd_series: TimeSeries,
-    /// IFQ occupancy samples over time (packets) — our addition; the paper's
-    /// controller observes this signal.
-    ifq_series: TimeSeries,
     /// Cumulative acked bytes over time, for throughput plots.
     acked_series: TimeSeries,
     lim_state: SndLimState,
@@ -26,7 +23,6 @@ pub struct InstrumentBlock {
     /// 1 records everything.
     pub sample_stride: u32,
     cwnd_updates: u32,
-    ifq_updates: u32,
 }
 
 impl Default for InstrumentBlock {
@@ -43,13 +39,11 @@ impl InstrumentBlock {
             send_stalls: EventCounter::new(),
             congestion_events: EventCounter::new(),
             cwnd_series: TimeSeries::new("cwnd_bytes"),
-            ifq_series: TimeSeries::new("ifq_pkts"),
             acked_series: TimeSeries::new("acked_bytes"),
             lim_state: SndLimState::Sender,
             lim_since_ns: 0,
             sample_stride: 1,
             cwnd_updates: 0,
-            ifq_updates: 0,
         }
     }
 
@@ -76,11 +70,6 @@ impl InstrumentBlock {
     /// Congestion-window time series (bytes).
     pub fn cwnd_series(&self) -> &TimeSeries {
         &self.cwnd_series
-    }
-
-    /// IFQ-occupancy time series (packets).
-    pub fn ifq_series(&self) -> &TimeSeries {
-        &self.ifq_series
     }
 
     /// Cumulative acked-bytes time series.
@@ -168,14 +157,6 @@ impl InstrumentBlock {
     /// The connection entered congestion avoidance.
     pub fn on_enter_cong_avoid(&mut self) {
         self.vars.cong_avoid_episodes += 1;
-    }
-
-    /// IFQ occupancy observed (the controller's process variable).
-    pub fn on_ifq_depth(&mut self, now: SimTime, depth_pkts: u32) {
-        self.ifq_updates += 1;
-        if self.ifq_updates.is_multiple_of(self.sample_stride.max(1)) {
-            self.ifq_series.push(now, depth_pkts as f64);
-        }
     }
 
     /// The sender-limitation state machine moved to `state` at `now`.
@@ -308,10 +289,8 @@ mod tests {
         b.sample_stride = 10;
         for i in 0..100 {
             b.on_cwnd(ms(i), 1000 + i);
-            b.on_ifq_depth(ms(i), i as u32);
         }
         assert_eq!(b.cwnd_series().len(), 10);
-        assert_eq!(b.ifq_series().len(), 10);
         // Counters are unaffected by sampling.
         assert_eq!(b.vars().cur_cwnd, 1099);
     }

@@ -9,7 +9,8 @@
 //! This crate reproduces that observability layer for the simulated stack:
 //! an [`InstrumentBlock`] per connection with TCP-KIS-named counters
 //! ([`Web100Vars`]), timestamped event logs for stalls and congestion
-//! signals, and time series for cwnd, IFQ depth and acked bytes.
+//! signals, and time series for cwnd and acked bytes. The IFQ-depth series
+//! is host-level: the world samples it on its own grid, not per ACK.
 
 #![warn(missing_docs)]
 
